@@ -359,6 +359,7 @@ let start ?(spec = Spec.default) ~env ~seed () =
   }
 
 let now live = Sim.Engine.now live.l_engine
+let engine live = live.l_engine
 let horizon live = live.l_spec.Spec.horizon
 
 (* Slicing is observationally invisible: [run_until] only advances the

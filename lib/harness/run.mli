@@ -163,6 +163,12 @@ type live
 val start : ?spec:Spec.t -> env:Scenarios.Env.t -> seed:int64 -> unit -> live
 
 val now : live -> Sim.Time.t
+
+(** The run's engine, for reading its counters ({!Sim.Engine.executed},
+    the wheel work counters). Scheduling on it from outside the run is
+    not supported. *)
+val engine : live -> Sim.Engine.t
+
 val horizon : live -> Sim.Time.t
 
 (** Execute every event up to [min until horizon]. *)

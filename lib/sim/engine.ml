@@ -42,8 +42,9 @@ type handle = {
    chains after them, in both modes. The reservation also keeps every
    rank's counter owned by exactly one replica when a run is sharded —
    pids draw on their owning shard, ranks 0 and [harness_rank] only on
-   the control replica. *)
-let rank_bits = 11
+   the control replica. The rank occupies exactly the wheel's tie bits:
+   the wheel buckets on the µs and keeps each µs slot rank-sorted. *)
+let rank_bits = Dstruct.Wheel.tie_bits
 let rank_mask = (1 lsl rank_bits) - 1
 let harness_rank = rank_mask
 let max_pid = rank_mask - 2
@@ -416,6 +417,11 @@ let cancel t h =
 let is_cancelled h = h.hstate = 2
 let pending t = t.live
 let executed t = t.executed
+
+let wheel_count f t = match t.queue with Heap _ -> 0 | Wheel w -> f w
+let wheel_placements t = wheel_count Dstruct.Wheel.placements t
+let wheel_walk_steps t = wheel_count Dstruct.Wheel.walk_steps t
+let wheel_pops t = wheel_count Dstruct.Wheel.pops t
 
 (* [exec t c ~recycle] latches every field, optionally releases the cell
    (wheel backend — the heap's cells are garbage once popped), then fires.

@@ -77,7 +77,9 @@ val set_harness_rank : t -> unit
 val max_pid : int
 
 (** Number of low key bits holding the creator rank: a canonical key is
-    [(time_us lsl rank_bits) lor rank]. Exposed for the intra-run driver,
+    [(time_us lsl rank_bits) lor rank]. Defined as the wheel's
+    {!Dstruct.Wheel.tie_bits}, so the wheel buckets on exactly the µs part
+    and orders by rank inside a µs. Exposed for the intra-run driver,
     which converts between keys and µs. *)
 val rank_bits : int
 
@@ -130,6 +132,15 @@ val pending : t -> int
 
 (** Total events executed so far. *)
 val executed : t -> int
+
+(** Scheduler work counters ({!Dstruct.Wheel.placements},
+    {!Dstruct.Wheel.walk_steps}, {!Dstruct.Wheel.pops}) of the wheel
+    backend since {!create}; all 0 on the heap backend. Deterministic:
+    the same run gives the same counts, whatever the machine. *)
+val wheel_placements : t -> int
+
+val wheel_walk_steps : t -> int
+val wheel_pops : t -> int
 
 (** [run_until t limit] executes every event with time [<= limit] and then
     advances the clock to [limit]. *)

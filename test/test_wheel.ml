@@ -210,6 +210,253 @@ let test_differential_bursts () =
     (fun seed -> run_differential ~seed ~ops:20_000 ~spread:64 ~burst:true ())
     [ 5L; 6L; 777L ]
 
+(* ------------------------------------------------------- ranked keys *)
+
+(* The engine's key shape: [(µs lsl tie_bits) lor rank]. The wheel buckets
+   on the µs and keeps each µs slot sorted by the full key, so these tests
+   aim at the slot-internal order: ranks arriving out of order, equal full
+   keys, fan-outs into the cursor's own µs, and peeks on a level-0 slot. *)
+
+let tb = Dstruct.Wheel.tie_bits
+let ranks = 1 lsl tb
+let ranked us rank = (us lsl tb) lor rank
+
+(* Drain both structures and require identical sequences. *)
+let drain_both w q =
+  while not (Dstruct.Wheel.is_empty w) do
+    check
+      (Alcotest.pair int_t int_t)
+      "drain order" (Dstruct.Pqueue.pop_exn q) (Dstruct.Wheel.pop_exn w)
+  done;
+  check bool_t "heap drained too" true (Dstruct.Pqueue.is_empty q)
+
+let push_both w q uid key =
+  let v = (key, !uid) in
+  incr uid;
+  Dstruct.Wheel.push w ~key v;
+  Dstruct.Pqueue.push q v
+
+(* Staged on the wheel (visible after the next [commit]), pushed on the
+   heap. *)
+let stage_both w q uid key =
+  let v = (key, !uid) in
+  incr uid;
+  Dstruct.Wheel.stage w ~key v;
+  Dstruct.Pqueue.push q v
+
+(* Random ranked workload: pushes and staged fan-outs at a random µs
+   offset from the cursor's µs (0 = the cursor's own slot) with a random
+   rank, clamped to the cursor; half the ranks come from a small set so
+   equal full keys recur. Every pop is compared with the heap's. *)
+let run_ranked_differential ~seed ~ops ~spread_us () =
+  let rng = Dstruct.Rng.create seed in
+  let w = new_wheel () and q = new_heap () in
+  let uid = ref 0 in
+  let draw_key () =
+    let cur = Dstruct.Wheel.cursor w in
+    let us = (cur lsr tb) + Dstruct.Rng.int rng spread_us in
+    let rank =
+      if Dstruct.Rng.chance rng 0.5 then Dstruct.Rng.int rng 4
+      else Dstruct.Rng.int rng ranks
+    in
+    max cur (ranked us rank)
+  in
+  for _ = 1 to ops do
+    if Dstruct.Wheel.is_empty w || Dstruct.Rng.chance rng 0.5 then begin
+      if Dstruct.Rng.chance rng 0.3 then begin
+        for _ = 1 to 1 + Dstruct.Rng.int rng 16 do
+          stage_both w q uid (draw_key ())
+        done;
+        Dstruct.Wheel.commit w
+      end
+      else push_both w q uid (draw_key ())
+    end
+    else begin
+      let vw = Dstruct.Wheel.pop_exn w and vq = Dstruct.Pqueue.pop_exn q in
+      if vw <> vq then
+        Alcotest.failf "ranked divergence: wheel (%d,%d) heap (%d,%d)"
+          (fst vw) (snd vw) (fst vq) (snd vq)
+    end
+  done;
+  drain_both w q
+
+let test_ranked_differential () =
+  List.iter
+    (fun (seed, spread_us) ->
+      run_ranked_differential ~seed ~ops:20_000 ~spread_us ())
+    [ (41L, 1); (42L, 4); (43L, 300); (44L, 100_000) ]
+
+(* Same-µs bursts pushed in descending rank: every push but the first
+   lands ahead of the slot's tail. Bursts cover up to the whole rank
+   space, both in a fresh slot reached by a cascade (a far µs) and in the
+   cursor's own slot. *)
+let test_descending_rank_bursts () =
+  List.iter
+    (fun m ->
+      let w = new_wheel () and q = new_heap () in
+      let uid = ref 0 in
+      (* Far µs: the burst sits above level 0 until the first pop. *)
+      for r = m - 1 downto 0 do
+        push_both w q uid (ranked 70_000 r)
+      done;
+      (* Then refill the cursor's own µs, again in descending rank. *)
+      let first = Dstruct.Wheel.pop_exn w in
+      check
+        (Alcotest.pair int_t int_t)
+        "lowest rank first" (ranked 70_000 0, m - 1) first;
+      ignore (Dstruct.Pqueue.pop_exn q);
+      for r = ranks - 1 downto ranks - m do
+        push_both w q uid (ranked 70_000 r)
+      done;
+      drain_both w q)
+    [ 2; 17; 256; ranks ]
+
+(* Repeated equal full keys keep FIFO order, interleaved with lower and
+   higher ranks of the same µs, through pushes, staged fan-outs, the
+   cursor's own slot and a cascade from a higher level. *)
+let test_equal_keys_fifo () =
+  let w = new_wheel () and q = new_heap () in
+  let uid = ref 0 in
+  List.iter
+    (fun us ->
+      for i = 0 to 59 do
+        let rank = match i mod 3 with 0 -> 5 | 1 -> 9 | _ -> 5 + (i mod 7) in
+        if i mod 4 = 0 then begin
+          stage_both w q uid (ranked us rank);
+          Dstruct.Wheel.commit w
+        end
+        else push_both w q uid (ranked us rank)
+      done)
+    [ 0; 3; 1_000_000 ];
+  (* Pop into the first µs, then add equal keys to the cursor's slot. *)
+  for _ = 1 to 10 do
+    check
+      (Alcotest.pair int_t int_t)
+      "prefix order" (Dstruct.Pqueue.pop_exn q) (Dstruct.Wheel.pop_exn w)
+  done;
+  for _ = 1 to 10 do
+    push_both w q uid (ranked 0 9)
+  done;
+  drain_both w q
+
+(* A staged fan-out landing in the cursor's own µs slot, out of rank
+   order, next to cells for later µs. *)
+let test_staged_fanout_cursor_slot () =
+  let rng = Dstruct.Rng.create 51L in
+  let w = new_wheel () and q = new_heap () in
+  let uid = ref 0 in
+  push_both w q uid (ranked 500 3);
+  push_both w q uid (ranked 500 1_000);
+  push_both w q uid (ranked 501 0);
+  check (Alcotest.pair int_t int_t) "cursor event" (ranked 500 3, 0)
+    (Dstruct.Wheel.pop_exn w);
+  ignore (Dstruct.Pqueue.pop_exn q);
+  for _ = 1 to 200 do
+    let us =
+      if Dstruct.Rng.chance rng 0.7 then 500
+      else 500 + Dstruct.Rng.int rng 600
+    in
+    stage_both w q uid (ranked us (3 + Dstruct.Rng.int rng (ranks - 3)))
+  done;
+  Dstruct.Wheel.commit w;
+  drain_both w q
+
+(* [min_key_exn] / [peek_exn] on a level-0 slot read the slot's head and
+   never move the cursor: a later push of a lower rank of the same µs
+   (still >= the cursor) becomes the new minimum. *)
+let test_level0_peek () =
+  let w = new_wheel () in
+  Dstruct.Wheel.push w ~key:(ranked 10 2) (ranked 10 2, 0);
+  ignore (Dstruct.Wheel.pop_exn w);
+  let cur = Dstruct.Wheel.cursor w in
+  Dstruct.Wheel.push w ~key:(ranked 10 700) (ranked 10 700, 1);
+  Dstruct.Wheel.push w ~key:(ranked 10 40) (ranked 10 40, 2);
+  check int_t "min is the lower rank" (ranked 10 40)
+    (Dstruct.Wheel.min_key_exn w);
+  check (Alcotest.pair int_t int_t) "peek is the lower rank" (ranked 10 40, 2)
+    (Dstruct.Wheel.peek_exn w);
+  check int_t "cursor unmoved by peeks" cur (Dstruct.Wheel.cursor w);
+  Dstruct.Wheel.push w ~key:(ranked 10 2) (ranked 10 2, 3);
+  check int_t "min follows a lower push" (ranked 10 2)
+    (Dstruct.Wheel.min_key_exn w);
+  check int_t "cursor still unmoved" cur (Dstruct.Wheel.cursor w);
+  let drained = List.init 3 (fun _ -> snd (Dstruct.Wheel.pop_exn w)) in
+  check (Alcotest.list int_t) "rank order" [ 3; 2; 1 ] drained
+
+(* Property: any monotone ranked schedule — pushes, staged fan-outs, pops
+   and peeks, keys clamped to the cursor — drains from the wheel exactly
+   as from the heap, and peeks agree without moving the cursor. *)
+type op = Push of int * int | Fanout of (int * int) list | Pop | Peek
+
+let gen_ranked_op =
+  let open QCheck.Gen in
+  let dus =
+    frequency
+      [
+        (3, return 0); (3, int_bound 3); (2, int_bound 300);
+        (1, int_bound 100_000);
+      ]
+  in
+  let rank = frequency [ (2, int_bound (ranks - 1)); (1, int_bound 3) ] in
+  let pair = map2 (fun d r -> (d, r)) dus rank in
+  frequency
+    [
+      (4, map (fun (d, r) -> Push (d, r)) pair);
+      (1, map (fun l -> Fanout l) (list_size (int_range 1 12) pair));
+      (4, return Pop);
+      (1, return Peek);
+    ]
+
+let print_ranked_op = function
+  | Push (d, r) -> Printf.sprintf "Push(%d,%d)" d r
+  | Fanout l ->
+      "Fanout["
+      ^ String.concat ";"
+          (List.map (fun (d, r) -> Printf.sprintf "%d,%d" d r) l)
+      ^ "]"
+  | Pop -> "Pop"
+  | Peek -> "Peek"
+
+let replay_ranked ops =
+  let w = new_wheel () and q = new_heap () in
+  let uid = ref 0 and ok = ref true in
+  let key_of (dus, rank) =
+    let cur = Dstruct.Wheel.cursor w in
+    max cur (ranked ((cur lsr tb) + dus) rank)
+  in
+  let pop () =
+    if not (Dstruct.Wheel.is_empty w) then
+      if Dstruct.Wheel.pop_exn w <> Dstruct.Pqueue.pop_exn q then ok := false
+  in
+  List.iter
+    (function
+      | Push (d, r) -> push_both w q uid (key_of (d, r))
+      | Fanout l ->
+          List.iter (fun dr -> stage_both w q uid (key_of dr)) l;
+          Dstruct.Wheel.commit w
+      | Pop -> pop ()
+      | Peek ->
+          if not (Dstruct.Wheel.is_empty w) then begin
+            let cur = Dstruct.Wheel.cursor w in
+            let top = Dstruct.Pqueue.peek_exn q in
+            if Dstruct.Wheel.min_key_exn w <> fst top
+               || Dstruct.Wheel.peek_exn w <> top
+               || Dstruct.Wheel.cursor w <> cur
+            then ok := false
+          end)
+    ops;
+  while not (Dstruct.Wheel.is_empty w) do
+    pop ()
+  done;
+  !ok && Dstruct.Pqueue.is_empty q
+
+let prop_ranked_schedules =
+  QCheck.Test.make ~name:"ranked monotone schedules match heap" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map print_ranked_op l))
+       QCheck.Gen.(list_size (int_range 0 400) gen_ranked_op))
+    replay_ranked
+
 (* --------------------------------------------- engine-level differential *)
 
 (* Drive two engines — one per backend — through one pre-generated random
@@ -416,6 +663,43 @@ let test_payload_interning_budget () =
     true
     (words_per_round < 90 * n)
 
+(* ---------------------------------------------------------- work gate *)
+
+(* Clock-free gate on the wheel's layout: cell placements (pushes, staged
+   commits and cascade re-placements) per pop over one simulated second
+   at seed 7. Bucketing on the µs part measures ~2.37 at n = 32 Figure 1
+   and ~2.34 at n = 256 relay; keying the levels on the full ranked key
+   measured 3.70 and 3.65, so a key-shape change that brings those extra
+   cascades back fails here rather than hiding in clock noise. *)
+let placements_per_pop ?(algo = `Gossip) ~variant ~n () =
+  let config = Omega.Config.default ~n ~t:((n - 1) / 2) variant in
+  let env =
+    Scenarios.Env.make config
+      (Scenarios.Scenario.Rotating_star { center = n - 2 })
+  in
+  let spec =
+    Harness.Run.Spec.(
+      default |> with_check false |> with_algo algo
+      |> with_horizon (Sim.Time.of_sec 1))
+  in
+  let live = Harness.Run.start ~spec ~env ~seed:7L () in
+  Harness.Run.advance live ~until:(Sim.Time.of_sec 1);
+  let e = Harness.Run.engine live in
+  float_of_int (Sim.Engine.wheel_placements e)
+  /. float_of_int (Sim.Engine.wheel_pops e)
+
+let test_placements_per_pop () =
+  List.iter
+    (fun (name, ppp) ->
+      check bool_t
+        (Printf.sprintf "%s: %.3f placements per pop (bound 2.5)" name ppp)
+        true (ppp <= 2.5))
+    [
+      ("n=32 fig1", placements_per_pop ~variant:Omega.Config.Fig1 ~n:32 ());
+      ( "n=256 relay",
+        placements_per_pop ~algo:`Relay ~variant:Omega.Config.Fig3 ~n:256 () );
+    ]
+
 let () =
   Alcotest.run "wheel"
     [
@@ -446,6 +730,25 @@ let () =
             test_engine_differential;
           Alcotest.test_case "n=256 backend digests agree" `Slow
             test_n256_backend_digest_differential;
+        ] );
+      ( "ranked",
+        [
+          Alcotest.test_case "ranked keys match heap" `Quick
+            test_ranked_differential;
+          Alcotest.test_case "descending-rank bursts" `Quick
+            test_descending_rank_bursts;
+          Alcotest.test_case "equal full keys keep FIFO" `Quick
+            test_equal_keys_fifo;
+          Alcotest.test_case "staged fan-out into cursor slot" `Quick
+            test_staged_fanout_cursor_slot;
+          Alcotest.test_case "level-0 peek keeps cursor" `Quick
+            test_level0_peek;
+          QCheck_alcotest.to_alcotest prop_ranked_schedules;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "placements per pop" `Quick
+            test_placements_per_pop;
         ] );
       ( "alloc",
         [
